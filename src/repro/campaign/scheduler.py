@@ -88,6 +88,12 @@ def _watchdog_cell_main(ctor_kwargs: dict, request: SimRequest, key: str,
     "crashed" from "succeeded" without unpickling outcomes across the
     process boundary.
     """
+    import signal
+
+    # A forked child inherits the worker's SIGTERM/SIGINT -> WorkerShutdown
+    # handler; the watchdog's terminate() must simply end it.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_DFL)
     from repro.experiments.parallel import _run_group
 
     _workload, results, _stats, _warm = _run_group(

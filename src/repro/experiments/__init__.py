@@ -31,6 +31,7 @@ from repro.experiments.fingerprint import code_salt, fingerprint
 from repro.experiments.parallel import ParallelExperimentRunner, SimRequest
 from repro.experiments.runner import (
     ExperimentRunner,
+    LazySetup,
     RunnerStats,
     SegmentedOutcome,
     WorkloadSetup,
@@ -38,6 +39,7 @@ from repro.experiments.runner import (
 
 __all__ = [
     "ExperimentRunner",
+    "LazySetup",
     "ParallelExperimentRunner",
     "ResultDiskCache",
     "RunnerStats",

@@ -69,6 +69,37 @@ class WorkloadSetup:
     def suite(self) -> str:
         return self.workload.suite
 
+    def resolve(self) -> "WorkloadSetup":
+        """A built setup is its own resolution (see :class:`LazySetup`)."""
+        return self
+
+
+class LazySetup:
+    """A workload setup whose program, trace windows and profile are
+    resolved on first use.
+
+    ``name``, ``suite`` and ``workload`` are known up front, and they are
+    all a cache key needs; so a figure whose every cell is a cache hit never
+    builds or decodes a setup.  Resolution goes through
+    :meth:`ExperimentRunner.setup`, which returns the shared memoized
+    :class:`WorkloadSetup`.
+    """
+
+    def __init__(self, runner: "ExperimentRunner", workload: Workload) -> None:
+        self.workload = workload
+        self._runner = runner
+
+    name = WorkloadSetup.name
+    suite = WorkloadSetup.suite
+
+    def resolve(self) -> WorkloadSetup:
+        return self._runner.setup(self.workload.name)
+
+    program = property(lambda self: self.resolve().program)
+    warmup = property(lambda self: self.resolve().warmup)
+    timed = property(lambda self: self.resolve().timed)
+    profile = property(lambda self: self.resolve().profile)
+
 
 @dataclass
 class SegmentedOutcome:
@@ -272,8 +303,8 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Keys are computed from the Workload *definition* (name, params,
     # window) — not the prepared setup — so cache lookups never require
-    # building traces or profiles.  Fingerprinting is cheap enough (a few
-    # hundred calls per campaign) that no memoization is warranted; an
+    # building traces or profiles.  Fingerprinting is cheap enough (traced
+    # campaigns make 3.5k-4k calls) that no memoization is warranted; an
     # identity-keyed memo here once aliased two different configs whose
     # objects happened to reuse one id().
     def workload_key(self, workload: Workload,
@@ -411,8 +442,9 @@ class ExperimentRunner:
         self.stats.setup_seconds += time.perf_counter() - started
         return setup
 
-    def setups(self) -> List[WorkloadSetup]:
-        return [self.setup(name) for name in self.workload_names]
+    def setups(self) -> List[LazySetup]:
+        """Every workload's setup, each built or decoded on first use."""
+        return [LazySetup(self, get_workload(name)) for name in self.workload_names]
 
     # ------------------------------------------------------------------
     # cached simulation entry points
@@ -436,6 +468,7 @@ class ExperimentRunner:
                 self.stats.disk_hits += 1
                 self._baseline_cache[key] = stored
                 return stored
+        setup = setup.resolve()
         started = self._begin_simulation()
         outcome = simulate_baseline(
             setup.timed,
@@ -467,6 +500,7 @@ class ExperimentRunner:
                 self.stats.disk_hits += 1
                 self._dla_cache[key] = stored
                 return stored
+        setup = setup.resolve()
         started = self._begin_simulation()
         system = DlaSystem(
             setup.program,
@@ -509,6 +543,7 @@ class ExperimentRunner:
                 return stored
         from repro.dla.recycle import RecycleController, build_skeleton_versions
 
+        setup = setup.resolve()
         started = self._begin_simulation()
         system = DlaSystem(
             setup.program,
@@ -567,6 +602,9 @@ class ExperimentRunner:
                 self.stats.disk_hits += 1
                 self._aux_cache[key] = stored
                 return stored
+        # ``simulate`` reads the setup; resolving it first keeps any
+        # set-up work out of the simulation time.
+        setup.resolve()
         started = self._begin_simulation()
         outcome = simulate()
         if isinstance(outcome, SimulationOutcome):

@@ -216,12 +216,15 @@ def test_cli_worker_cell_timeout_flips_exit_code(cache_dir, tmp_path,
     monkeypatch.chdir(tmp_path)
     spec = _spec(workloads=("libquantum",))
     spec_file = _write_spec(tmp_path, spec)
-    # A watchdog budget no simulation can meet: every cell times out, gets
-    # retried, and is poisoned — hangs become bounded, retryable failures.
+    # Every attempt of every cell hangs past the watchdog budget, so every
+    # cell times out, gets retried, and is poisoned — hangs become bounded,
+    # retryable failures.  The plan, not the host's speed, makes them hang.
+    monkeypatch.setenv(faults.FAULTS_ENV,
+                       "cell.simulate:hang:times=none,attempts=2,seconds=60")
     code = main([
         "run", "--spec", spec_file, "--worker", "--ttl", "60",
         "--poll", "0.05", "--retries", "2", "--retry-backoff", "0.01",
-        "--cell-timeout", "0.001", "--no-render",
+        "--cell-timeout", "0.5", "--no-render",
     ])
     capsys.readouterr()
     assert code == 1
